@@ -285,6 +285,76 @@ let test_standard_result_preservation () =
         Alcotest.failf "standard Q%d: result not preserved" n)
     Tpch_queries.standard_numbers
 
+(* ------------------------------------------------------------------ *)
+(* Golden optimized plans                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every (sublink template, strategy) pair the rewriter accepts, at two
+   fixed instantiation seeds: the optimized plan and its per-operator
+   estimates must match the files under [golden/] byte for byte, so any
+   change to the optimizer or the estimator that moves a plan shows up
+   as a diff of those files. On a mismatch the actual output is written
+   next to the test binary as [<name>.actual]. *)
+
+let golden_seeds = [ 1; 2 ]
+
+let golden_pairs d =
+  List.concat_map
+    (fun n ->
+      let an =
+        Sql_frontend.Analyzer.analyze_string d
+          (Tpch_queries.instantiate n).Tpch_queries.sql
+      in
+      List.filter_map
+        (fun s ->
+          match Rewrite.rewrite d ~strategy:s an.Sql_frontend.Analyzer.query with
+          | _ -> Some (n, s)
+          | exception Strategy.Unsupported _ -> None)
+        Strategy.all)
+    Tpch_queries.numbers
+
+let golden_text d ~seed n s =
+  let q = Tpch_queries.instantiate ~seed n in
+  let an = Sql_frontend.Analyzer.analyze_string d q.Tpch_queries.sql in
+  let q_plus, _ = Rewrite.rewrite d ~strategy:s an.Sql_frontend.Analyzer.query in
+  let plan = Optimizer.optimize d q_plus in
+  Pp.query_to_string plan ^ "\n\n"
+  ^ Estimate.report (Estimate.create d) plan
+
+let read_file path =
+  In_channel.with_open_bin path In_channel.input_all
+
+let test_golden_plans () =
+  let d = Lazy.force tiny_db in
+  let pairs = golden_pairs d in
+  Alcotest.(check int) "applicable pairs" 17 (List.length pairs);
+  let moved =
+    List.concat_map
+      (fun seed ->
+        List.filter_map
+          (fun (n, s) ->
+            let name =
+              Printf.sprintf "q%d_%s_s%d.txt" n (Strategy.to_string s) seed
+            in
+            let actual = golden_text d ~seed n s in
+            let expected =
+              match read_file (Filename.concat "golden" name) with
+              | t -> Some t
+              | exception Sys_error _ -> None
+            in
+            if expected = Some actual then None
+            else begin
+              Out_channel.with_open_bin (name ^ ".actual") (fun oc ->
+                  output_string oc actual);
+              Some name
+            end)
+          pairs)
+      golden_seeds
+  in
+  if moved <> [] then
+    Alcotest.failf "optimized plans differ from golden/: %s"
+      (String.concat ", " moved)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "tpch"
@@ -318,4 +388,5 @@ let () =
           tc "uncorrelated strategies agree" `Slow test_uncorrelated_strategies_agree;
           tc "correlated rejected by Left" `Quick test_correlated_strategies_rejected;
         ] );
+      ("golden", [ tc "optimized plans and estimates" `Quick test_golden_plans ]);
     ]
