@@ -109,12 +109,18 @@ let inputs = function
 module type DOMAIN = sig
   type fact
 
+  (** What the transfer functions read besides the facts: the catalog,
+      and whatever a domain caches for the lifetime of one engine. *)
+  type ctx
+
+  val ctx : Database.t -> ctx
+
   val join : fact -> fact -> fact
   (** Widen two facts for the same physical subplan reached under
       different correlation environments. *)
 
   val transfer :
-    Database.t ->
+    ctx ->
     recurse:(env:fact list -> query -> fact) ->
     env:fact list ->
     inputs:fact list ->
@@ -137,9 +143,9 @@ end = struct
     let hash = Hashtbl.hash
   end)
 
-  type t = { db : Database.t; memo : (D.fact list * D.fact) H.t }
+  type t = { ctx : D.ctx; memo : (D.fact list * D.fact) H.t }
 
-  let create db = { db; memo = H.create 64 }
+  let create db = { ctx = D.ctx db; memo = H.create 64 }
 
   let same_env a b =
     List.length a = List.length b && List.for_all2 ( == ) a b
@@ -150,7 +156,7 @@ end = struct
     | previous ->
         let recurse ~env q = query t ~env q in
         let inputs = List.map (fun i -> query t ~env i) (inputs q) in
-        let fact = D.transfer t.db ~recurse ~env ~inputs q in
+        let fact = D.transfer t.ctx ~recurse ~env ~inputs q in
         let fact =
           match previous with
           | Some (_, f0) -> D.join f0 fact
@@ -186,6 +192,9 @@ let map2_padded f top a b =
 
 module Null_domain = struct
   type fact = null_fact
+  type ctx = Database.t
+
+  let ctx db = db
 
   let join a b =
     { a with n_maybe = map2_padded ( || ) true a.n_maybe b.n_maybe }
@@ -318,6 +327,9 @@ module Null_engine = Engine (Null_domain)
 
 module Lin_domain = struct
   type fact = lin_fact
+  type ctx = Database.t
+
+  let ctx db = db
 
   let join a b =
     { a with l_deps = map2_padded Deps.union Deps.empty a.l_deps b.l_deps }
@@ -428,6 +440,9 @@ module Lin_engine = Engine (Lin_domain)
 
 module Card_domain = struct
   type fact = card
+  type ctx = Database.t
+
+  let ctx db = db
 
   let join a b =
     { c_lo = min a.c_lo b.c_lo; c_hi = bound_max a.c_hi b.c_hi }

@@ -50,12 +50,18 @@ val inputs : Algebra.query -> Algebra.query list
 module type DOMAIN = sig
   type fact
 
+  (** What the transfer functions read besides the facts: the catalog,
+      and whatever a domain caches for the lifetime of one engine. *)
+  type ctx
+
+  val ctx : Database.t -> ctx
+
   (** Widen two facts for the same physical subplan reached under
       different correlation environments. *)
   val join : fact -> fact -> fact
 
   val transfer :
-    Database.t ->
+    ctx ->
     recurse:(env:fact list -> Algebra.query -> fact) ->
     env:fact list ->
     inputs:fact list ->

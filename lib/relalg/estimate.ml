@@ -75,8 +75,38 @@ let fact_of_table (t : Stats.table) =
 (* The domain                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Solver verdicts on a predicate, in the order [selectivity] asks:
+   provably never TRUE, else provably always TRUE, else neither. *)
+type verdict = Never | Always | Neither
+
+module HE = Hashtbl.Make (struct
+  type t = expr
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+module HQ = Hashtbl.Make (struct
+  type t = query
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 module Est_domain = struct
   type nonrec fact = fact
+
+  (* The environment-independent parts of a transfer, cached for the
+     engine's lifetime: solver verdicts per condition and conjunct
+     (greedy reorder re-estimates the same conjuncts under every
+     candidate), and the free names of sublink queries. *)
+  type ctx = {
+    db : Database.t;
+    frees : string list HQ.t;  (** per sublink query *)
+    verdicts : verdict HE.t;  (** per condition and conjunct *)
+  }
+
+  let ctx db = { db; frees = HQ.create 16; verdicts = HE.create 64 }
 
   let join a b =
     let widen x y =
@@ -217,36 +247,54 @@ module Est_domain = struct
      product. A cross-conjunct contradiction ([x < 1 AND x > 2]) is
      caught by the whole-condition query even though each conjunct
      alone looks innocent. *)
-  let selectivity ~recurse ~env cond =
-    let sctx = Symbolic.ctx () in
-    match Symbolic.never_true sctx cond with
-    | Symbolic.Proved -> 0.0
-    | _ -> (
-        match Symbolic.always_true sctx cond with
-        | Symbolic.Proved -> 1.0
-        | _ ->
-            List.fold_left
-              (fun acc c ->
-                let s =
-                  match Symbolic.never_true sctx c with
-                  | Symbolic.Proved -> 0.0
-                  | _ -> (
-                      match Symbolic.always_true sctx c with
-                      | Symbolic.Proved -> 1.0
-                      | _ -> conjunct_sel ~recurse ~env c)
-                in
-                acc *. s)
-              1.0 (conjuncts cond))
+  let verdict ctx e =
+    match HE.find_opt ctx.verdicts e with
+    | Some v -> v
+    | None ->
+        let sctx = Symbolic.ctx () in
+        let v =
+          match Symbolic.never_true sctx e with
+          | Symbolic.Proved -> Never
+          | _ -> (
+              match Symbolic.always_true sctx e with
+              | Symbolic.Proved -> Always
+              | _ -> Neither)
+        in
+        HE.add ctx.verdicts e v;
+        v
+
+  let selectivity ctx ~recurse ~env cond =
+    match verdict ctx cond with
+    | Never -> 0.0
+    | Always -> 1.0
+    | Neither ->
+        List.fold_left
+          (fun acc c ->
+            let s =
+              match verdict ctx c with
+              | Never -> 0.0
+              | Always -> 1.0
+              | Neither -> conjunct_sel ~recurse ~env c
+            in
+            acc *. s)
+          1.0 (conjuncts cond)
 
   (* Evaluation cost of the sublinks of [exprs]: one evaluation of the
      sublink plan per distinct binding of its free attributes, capped
      at [rows] (the evaluator memoizes per binding); an uncorrelated
      sublink has no frees and is paid exactly once. *)
-  let sublinks_cost db ~recurse ~env ~rows exprs =
+  let sublinks_cost ctx ~recurse ~env ~rows exprs =
     List.fold_left
       (fun acc (s : sublink) ->
         let sub = recurse ~env s.query in
-        let frees = Scope.free_of_query db s.query in
+        let frees =
+          match HQ.find_opt ctx.frees s.query with
+          | Some fs -> fs
+          | None ->
+              let fs = Scope.free_of_query ctx.db s.query in
+              HQ.add ctx.frees s.query fs;
+              fs
+        in
         let bindings =
           if frees = [] then Float.min 1.0 rows
           else
@@ -277,7 +325,8 @@ module Est_domain = struct
         | _ -> false)
       (conjuncts cond)
 
-  let transfer db ~recurse ~env ~inputs q =
+  let transfer ctx ~recurse ~env ~inputs q =
+    let db = ctx.db in
     let input_fact () =
       match inputs with
       | [] -> { e_names = []; e_cols = []; e_rows = default_rows; e_cost = 0.0 }
@@ -300,9 +349,9 @@ module Est_domain = struct
     | Select (cond, _) ->
         let f = input_fact () in
         let env' = f :: env in
-        let s = selectivity ~recurse ~env:env' cond in
+        let s = selectivity ctx ~recurse ~env:env' cond in
         let rows = f.e_rows *. s in
-        let sub = sublinks_cost db ~recurse ~env:env' ~rows:f.e_rows [ cond ] in
+        let sub = sublinks_cost ctx ~recurse ~env:env' ~rows:f.e_rows [ cond ] in
         {
           e_names = f.e_names;
           e_cols = shrink rows f.e_cols;
@@ -330,7 +379,7 @@ module Est_domain = struct
               (List.fold_left (fun acc c -> acc *. Float.max 1.0 c.ci_ndv) 1.0 cols)
         in
         let sub =
-          sublinks_cost db ~recurse ~env:env' ~rows:f.e_rows
+          sublinks_cost ctx ~recurse ~env:env' ~rows:f.e_rows
             (List.map fst p.cols)
         in
         {
@@ -352,7 +401,7 @@ module Est_domain = struct
         let a, b = pair () in
         let joined = concat a b in
         let env' = joined :: env in
-        let s = selectivity ~recurse ~env:env' cond in
+        let s = selectivity ctx ~recurse ~env:env' cond in
         let rows = a.e_rows *. b.e_rows *. s in
         let pairs =
           if has_equi_conjunct db a.e_names b.e_names cond then
@@ -361,7 +410,7 @@ module Est_domain = struct
           else a.e_rows *. b.e_rows
         in
         let sub =
-          sublinks_cost db ~recurse ~env:env' ~rows:(a.e_rows *. b.e_rows)
+          sublinks_cost ctx ~recurse ~env:env' ~rows:(a.e_rows *. b.e_rows)
             [ cond ]
         in
         {
@@ -374,7 +423,7 @@ module Est_domain = struct
         let a, b = pair () in
         let joined = concat a b in
         let env' = joined :: env in
-        let s = selectivity ~recurse ~env:env' cond in
+        let s = selectivity ctx ~recurse ~env:env' cond in
         let matched = a.e_rows *. b.e_rows *. s in
         (* every left row survives at least once — the outer-join
            fanout the Left strategy pays *)
@@ -391,7 +440,7 @@ module Est_domain = struct
           else a.e_rows *. b.e_rows
         in
         let sub =
-          sublinks_cost db ~recurse ~env:env' ~rows:(a.e_rows *. b.e_rows)
+          sublinks_cost ctx ~recurse ~env:env' ~rows:(a.e_rows *. b.e_rows)
             [ cond ]
         in
         {
@@ -428,7 +477,7 @@ module Est_domain = struct
             ag.aggs
         in
         let sub =
-          sublinks_cost db ~recurse ~env:env' ~rows:f.e_rows
+          sublinks_cost ctx ~recurse ~env:env' ~rows:f.e_rows
             (List.map fst ag.group_by
             @ List.filter_map (fun c -> c.agg_arg) ag.aggs)
         in
@@ -481,7 +530,7 @@ module Est_domain = struct
     | Order (keys, _) ->
         let f = input_fact () in
         let sub =
-          sublinks_cost db ~recurse ~env:(f :: env) ~rows:f.e_rows
+          sublinks_cost ctx ~recurse ~env:(f :: env) ~rows:f.e_rows
             (List.map fst keys)
         in
         { f with e_cost = f.e_cost +. f.e_rows +. sub }

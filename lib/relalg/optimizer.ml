@@ -20,19 +20,51 @@
     [test/test_certify.ml]. *)
 
 open Algebra
+module SS = Set.Make (String)
 
 let sublink_seg k = Printf.sprintf "sublink[%d]" k
 
-(* A conjunct can move to a side of a binary operator when all its
-   attribute references are produced by that side. References to
-   attributes of neither side are correlated (bound by an enclosing
-   sublink scope) and do not block the move. *)
+(* ------------------------------------------------------------------ *)
+(* Per-call facts                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Solver questions, keyed structurally: the provenance rewrites copy
+   a sublink's plan into several places, so the same question recurs
+   at every copy. A verdict depends only on the formulas and on which
+   of their columns the context types as integers. *)
+type question = Never_true of expr | Always_true of expr | Implies of expr * expr
+
+module HV = Hashtbl.Make (struct
+  type t = question * bool list
+
+  (* plans inside sublink atoms may hold closures: incomparable means
+     a miss *)
+  let equal a b = try a = b with Invalid_argument _ -> false
+  let hash = Hashtbl.hash_param 40 200
+end)
+
+(* What one {!optimize} call remembers across selection sites: the
+   solver's answers. It is created by the call and dropped when the
+   call returns. Output names, free names and a conjunct's references
+   are recomputed: after the single descent each is asked about a node
+   a bounded number of times, and recomputing costs less than a lookup
+   keyed by the node. Static schemas are recomputed per selection site:
+   remembering them kept a typed copy of the plan alive for the whole
+   call and saved little. *)
+type facts = {
+  db : Database.t;
+  verdicts : Symbolic.verdict HV.t;  (** solver answers, per question *)
+}
+
+let facts db = { db; verdicts = HV.create 64 }
+
+(* A conjunct can move to a side of a binary operator when none of its
+   attribute references are produced by the opposite side, whose names
+   the caller passes. References to attributes of neither side are
+   correlated (bound by an enclosing sublink scope) and do not block
+   the move. *)
 let movable_to db side_names e =
-  let refs = Scope.refs_of_expr db e in
-  ignore refs;
-  (* A conjunct is movable to [side] iff none of its references belong to
-     the opposite side; the caller passes the names of the opposite side. *)
-  not (List.exists (fun n -> List.mem n side_names) (Scope.refs_of_expr db e))
+  not (List.exists (fun n -> SS.mem n side_names) (Scope.refs_of_expr db e))
 
 (* Rewrite attribute references through a projection's renaming map.
    Only valid on sublink-free expressions whose references are all in
@@ -71,14 +103,37 @@ let static_schema db q =
    witness-data facts like observed nullability — the passes' claims
    must hold on every database, or {!Certify} would refute them on its
    NULL-rich witness variants. *)
-let pred_ctx db q =
-  match static_schema db q with
+let pred_ctx f q =
+  match static_schema f.db q with
   | Some s ->
-      let assoc =
-        List.map2 (fun n t -> (n, t)) (Schema.names s) (Schema.types s)
+      let ty n =
+        Option.map (fun i -> (Schema.attr_at s i).Schema.ty) (Schema.find s n)
       in
-      Symbolic.ctx ~types:(fun n -> List.assoc_opt n assoc) ()
-  | None -> Symbolic.ctx ()
+      (Symbolic.ctx ~types:ty (), fun n -> ty n = Some Vtype.TInt)
+  | None -> (Symbolic.ctx (), fun _ -> false)
+
+(* [verdict f (ctx, is_int) q] asks the solver [q], once per distinct
+   question in this call. *)
+let verdict f (ctx, is_int) q =
+  let ints =
+    fold_expr (fun acc e -> match e with Attr n -> is_int n :: acc | _ -> acc)
+  in
+  let key =
+    match q with
+    | Never_true e | Always_true e -> (q, ints [] e)
+    | Implies (a, b) -> (q, ints (ints [] a) b)
+  in
+  match HV.find_opt f.verdicts key with
+  | Some v -> v
+  | None ->
+      let v =
+        match q with
+        | Never_true e -> Symbolic.never_true ctx e
+        | Always_true e -> Symbolic.always_true ctx e
+        | Implies (a, b) -> Symbolic.implies ctx a b
+      in
+      HV.add f.verdicts key v;
+      v
 
 (* Conjuncts of every Select/Join condition in a Select/Cross/Join
    tree, plus the leaf subplans below them (mirrors the flattening the
@@ -96,14 +151,17 @@ let rec flat_conjuncts (q : query) : expr list * query list =
       (conjuncts c @ ca @ cb, la @ lb)
   | _ -> ([], [ q ])
 
-(* Mixing conjuncts from different tree levels into one solver query is
-   only sound when every name binds to the same column at every level:
-   leaf output names pairwise distinct and disjoint from the plan's
-   correlated (free) references. *)
-let flat_namespace db before leaves =
+(* Mixing conjuncts from different tree levels of [q] into one solver
+   query is only sound when every name binds to the same column at
+   every level: leaf output names pairwise distinct and disjoint from
+   the plan's correlated (free) references. The leaves' names are
+   exactly [q]'s output names, so a selection over [q] adds no free
+   reference that could collide with them: the answer depends on [q]
+   alone. *)
+let flat_namespace db q leaves =
   match
     ( List.concat_map (fun l -> Scope.out_names db l) leaves,
-      Scope.free_of_query db before )
+      Scope.free_of_query db q )
   with
   | names, frees ->
       List.length (List.sort_uniq String.compare names) = List.length names
@@ -123,11 +181,11 @@ let flat_namespace db before leaves =
    differ only in the predicate, so Certify can usually re-prove it
    symbolically. Returns [Error folded] when the site folded to an
    empty relation, [Ok conds'] otherwise. *)
-let symbolic_conds db (prefix : string list) (conds : expr list) (q : query) :
+let symbolic_conds f (prefix : string list) (conds : expr list) (q : query) :
     (expr list, query) result =
   if conds = [] then Ok conds
   else begin
-    let ctx = pred_ctx db q in
+    let ((ctx, _) as pc) = pred_ctx f q in
     let sel cs = Select (conj cs, q) in
     let emit rule before after =
       Rewrite_trace.emit ~rule ~path:(prefix @ [ Guard.op_label before ])
@@ -140,22 +198,21 @@ let symbolic_conds db (prefix : string list) (conds : expr list) (q : query) :
            tautologies and always-NULL predicates *)
         Symbolic.falsifiable ctx (conj conds) = Symbolic.Refuted
       else
-        let ctx =
-          (* mutant: assumes base columns are never NULL, a witness-data
-             fact the NULL-rich databases refute *)
-          if Rewrite_trace.mutant "sym-unsat-notnull-db" then
-            Symbolic.ctx ~notnull:(Scope.refs_of_expr db (conj conds)) ()
-          else ctx
-        in
         let deep_cs, leaves = flat_conjuncts q in
         let full =
-          if deep_cs <> [] && flat_namespace db (sel conds) leaves then
-            conds @ deep_cs
+          if deep_cs <> [] && flat_namespace f.db q leaves then conds @ deep_cs
           else conds
         in
-        Symbolic.never_true ctx (conj full) = Symbolic.Proved
+        (if Rewrite_trace.mutant "sym-unsat-notnull-db" then
+           (* mutant: assumes base columns are never NULL, a witness-data
+              fact the NULL-rich databases refute *)
+           Symbolic.never_true
+             (Symbolic.ctx ~notnull:(Scope.refs_of_expr f.db (conj conds)) ())
+             (conj full)
+         else verdict f pc (Never_true (conj full)))
+        = Symbolic.Proved
     in
-    match (if unsat then static_schema db (sel conds) else None) with
+    match (if unsat then static_schema f.db (sel conds) else None) with
     | Some schema ->
         let after = TableExpr (Relation.empty schema) in
         emit "unsat-fold" (sel conds) after;
@@ -167,7 +224,7 @@ let symbolic_conds db (prefix : string list) (conds : expr list) (q : query) :
             (* mutant: "never FALSE" is not "always TRUE" — the classic
                3VL bug, [p OR NOT p] is NULL on NULL rows *)
             Symbolic.falsifiable ctx (conj conds) = Symbolic.Refuted
-          else Symbolic.always_true ctx (conj conds) = Symbolic.Proved
+          else verdict f pc (Always_true (conj conds)) = Symbolic.Proved
         in
         if taut then begin
           emit "taut-fold" (sel conds) q;
@@ -180,7 +237,7 @@ let symbolic_conds db (prefix : string list) (conds : expr list) (q : query) :
               (* mutant: implication tested backwards — drops the
                  stronger conjunct and keeps the weaker one *)
               Symbolic.implies ctx x (conj others) = Symbolic.Proved
-            else Symbolic.implies ctx (conj others) x = Symbolic.Proved
+            else verdict f pc (Implies (conj others, x)) = Symbolic.Proved
           in
           let rec drop kept = function
             | [] -> List.rev kept
@@ -294,158 +351,164 @@ let derive_implied path before ~wrap (all : expr list) : expr list =
     end
   end
 
-(* [push_select db prefix conds q] pushes the accumulated conjuncts
-   [conds] into [q]. The subplan being rewritten — the proof
+(* [optimize_with f prefix conds q] optimizes [q] with the accumulated
+   conjuncts [conds] pushed into it, in a single descent: each operator
+   is visited once, the conjuncts of the selections met on the way join
+   [conds], and each side of a product or join is optimized together
+   with the conjuncts it absorbs — an optimized subplan is never
+   optimized again. The subplan being rewritten — the proof
    obligation's before side — is [Select (conj conds, q)] (or [q] when
    no conjuncts accumulated); [prefix] is the path prefix of that
-   subplan's root. *)
-let rec push_select db (prefix : string list) (conds : expr list) (q : query) :
-    query =
+   subplan's root. Sublink queries embedded in conditions are
+   optimized too. *)
+let rec optimize_with f (prefix : string list) (conds : expr list) (q : query)
+    : query =
+  match merge_projects prefix q with
+  | Select (c, input) as q ->
+      let c = opt_sublinks f (prefix @ [ Guard.op_label q ]) c in
+      optimize_with f prefix (conds @ conjuncts c) input
+  | (Cross _ | Join _ | LeftJoin _) as q -> push f prefix conds q
+  | q when conds = [] -> optimize_children f prefix q
+  | q -> push f prefix conds q
+
+and push f prefix conds q =
+  match symbolic_conds f prefix conds q with
+  | Error folded -> folded
+  | Ok conds -> push_conds f prefix conds q
+
+(* [opt_sublinks f here] optimizes the sublink queries of the
+   expressions it is applied to, numbering them across all of them —
+   one numbering per operator, in Lint's enumeration order. *)
+and opt_sublinks f here =
+  let counter = ref 0 in
+  map_expr_query (fun sq ->
+      incr counter;
+      optimize_with f (here @ [ sublink_seg !counter ]) [] sq)
+
+and push_conds f (prefix : string list) (conds : expr list) (q : query) : query
+    =
+  let before = if conds = [] then q else Select (conj conds, q) in
+  let here = prefix @ [ Guard.op_label before ] in
+  (* prefix of [q] itself: below the accumulated selection, if any *)
+  let qprefix = if conds = [] then prefix else here in
+  let qchild qual = qprefix @ [ Guard.op_label q ^ qual ] in
+  let emit rule after =
+    Rewrite_trace.emit ~rule ~path:here ~before ~after;
+    after
+  in
   match q with
-  | Select (c, input) -> push_select db prefix (conds @ conjuncts c) input
-  | _ -> (
-      match symbolic_conds db prefix conds q with
-      | Error folded -> folded
-      | Ok conds -> push_conds db prefix conds q)
-
-and push_conds db (prefix : string list) (conds : expr list) (q : query) :
-    query =
-      let before = if conds = [] then q else Select (conj conds, q) in
-      let here = prefix @ [ Guard.op_label before ] in
-      (* prefix of [q] itself: below the accumulated selection, if any *)
-      let qprefix = if conds = [] then prefix else here in
-      let qchild qual = qprefix @ [ Guard.op_label q ^ qual ] in
-      let emit rule after =
-        Rewrite_trace.emit ~rule ~path:here ~before ~after;
-        after
+  | Cross (a, b) | Join (Const (Value.Bool true), a, b) ->
+      let conds =
+        derive_implied here before
+          ~wrap:(fun ds -> Select (conj (conds @ ds), q))
+          conds
       in
-      (match q with
-      | Cross (a, b) | Join (Const (Value.Bool true), a, b) ->
-          let conds =
-            derive_implied here before
-              ~wrap:(fun ds -> Select (conj (conds @ ds), q))
-              conds
-          in
-          (* The motion obligation's before side includes any derived
-             conjuncts: the [implied-predicate] entry already justified
-             adding them, so this entry stays a pure conjunct motion. *)
-          let before_m = if conds = [] then q else Select (conj conds, q) in
-          distribute db ~left:(qchild "[left]") ~right:(qchild "[right]")
-            ~motion:(fun after ->
-              Rewrite_trace.emit ~rule:"pushdown-into-cross" ~path:here
-                ~before:before_m ~after)
-            conds a b
-            ~mk:(fun residual a b ->
-              match residual with
-              | [] -> Cross (a, b)
-              | cs -> Join (conj cs, a, b))
-      | Join (c, a, b) ->
-          let all0 = conds @ conjuncts c in
-          let all =
-            derive_implied here before
-              ~wrap:(fun ds ->
-                let j = Join (And (c, conj ds), a, b) in
-                if conds = [] then j else Select (conj conds, j))
-              all0
-          in
-          let before_m =
-            if List.length all = List.length all0 then before
-            else
-              let ds = List.filteri (fun i _ -> i >= List.length all0) all in
-              let j = Join (And (c, conj ds), a, b) in
-              if conds = [] then j else Select (conj conds, j)
-          in
-          distribute db ~left:(qchild "[left]") ~right:(qchild "[right]")
-            ~motion:(fun after ->
-              Rewrite_trace.emit ~rule:"pushdown-into-join" ~path:here
-                ~before:before_m ~after)
-            all a b
-            ~mk:(fun residual a b -> Join (conj residual, a, b))
-      | LeftJoin (c, a, b) ->
-          (* Only push into the left (preserved) side: conditions on the
-             nullable side would change outer-join semantics. The join
-             condition itself stays put. *)
-          let a_names = Scope.out_names db a in
-          let b_names = Scope.out_names db b in
-          ignore a_names;
-          let to_left, residual =
-            List.partition (fun e -> movable_to db b_names e) conds
-          in
-          (* mutant: pushes conditions into the nullable side too, the
-             classic outer-join pushdown bug *)
-          let to_right, residual =
-            if Rewrite_trace.mutant "opt-leftjoin-push-right" then
-              List.partition (fun e -> movable_to db a_names e) residual
-            else ([], residual)
-          in
-          (* Emit the pure motion step (sides untouched) before
-             recursing — the sides' rewrites are their own entries. *)
-          let wrap cs p = if cs = [] then p else Select (conj cs, p) in
-          Rewrite_trace.emit ~rule:"pushdown-into-leftjoin" ~path:here ~before
-            ~after:(wrap residual (LeftJoin (c, wrap to_left a, wrap to_right b)));
-          let left = qchild "[left]" and right = qchild "[right]" in
-          let a' = push_select db left to_left (optimize db left a) in
-          let b' = optimize db right b in
-          let b' =
-            if to_right = [] then b' else push_select db right to_right b'
-          in
-          let inner = LeftJoin (c, a', b') in
-          if residual = [] then inner else Select (conj residual, inner)
-      | Project p ->
-          (* Push conjuncts whose references all map to rename-only columns
-             through the projection (filtering before or after a pure
-             rename/dedup is equivalent). Sublink conjuncts stay above: the
-             substitution cannot see into sublink scopes. *)
-          let rename_map =
-            List.filter_map
-              (fun (e, n) -> match e with Attr src -> Some (n, src) | _ -> None)
-              p.cols
-          in
-          let pushable, rest =
-            List.partition
-              (fun c ->
-                (not (has_sublink c))
-                && ((* mutant: pushes through computed columns as if they
-                       were renames *)
-                    Rewrite_trace.mutant "opt-push-nonrename"
-                   || List.for_all
-                        (fun n -> List.mem_assoc n rename_map)
-                        (Scope.refs_of_expr db c)))
-              conds
-          in
-          let renamed = List.map (rename_attrs rename_map) pushable in
-          let phere = qprefix @ [ Guard.op_label q ] in
-          let inner = push_select db (qchild "") renamed p.proj_input in
-          let counter = ref 0 in
-          let cols =
-            List.map
-              (fun (e, n) ->
-                ( map_expr_query
-                    (fun sq ->
-                      incr counter;
-                      optimize db (phere @ [ sublink_seg !counter ]) sq)
-                    e,
-                  n ))
-              p.cols
-          in
-          let projected = Project { p with cols; proj_input = inner } in
-          emit "pushdown-through-project"
-            (if rest = [] then projected else Select (conj rest, projected))
-      | _ ->
-          let q' = optimize_children db qprefix q in
-          if conds = [] then q'
-          else emit "pushdown-residual" (Select (conj conds, q')))
+      (* The motion obligation's before side includes any derived
+         conjuncts: the [implied-predicate] entry already justified
+         adding them, so this entry stays a pure conjunct motion. *)
+      let before_m = if conds = [] then q else Select (conj conds, q) in
+      distribute f ~left:(qchild "[left]") ~right:(qchild "[right]")
+        ~motion:(fun after ->
+          Rewrite_trace.emit ~rule:"pushdown-into-cross" ~path:here
+            ~before:before_m ~after)
+        conds a b
+        ~mk:(fun residual a b ->
+          match residual with [] -> Cross (a, b) | cs -> Join (conj cs, a, b))
+  | Join (c, a, b) ->
+      let all0 = conds @ conjuncts c in
+      let all =
+        derive_implied here before
+          ~wrap:(fun ds ->
+            let j = Join (And (c, conj ds), a, b) in
+            if conds = [] then j else Select (conj conds, j))
+          all0
+      in
+      let before_m =
+        if List.length all = List.length all0 then before
+        else
+          let ds = List.filteri (fun i _ -> i >= List.length all0) all in
+          let j = Join (And (c, conj ds), a, b) in
+          if conds = [] then j else Select (conj conds, j)
+      in
+      distribute f ~left:(qchild "[left]") ~right:(qchild "[right]")
+        ~motion:(fun after ->
+          Rewrite_trace.emit ~rule:"pushdown-into-join" ~path:here
+            ~before:before_m ~after)
+        all a b
+        ~mk:(fun residual a b -> Join (conj residual, a, b))
+  | LeftJoin (c, a, b) ->
+      (* Only push into the left (preserved) side: conditions on the
+         nullable side would change outer-join semantics. The join
+         condition itself stays put. *)
+      let to_left, residual =
+        List.partition (movable_to f.db (SS.of_list (Scope.out_names f.db b))) conds
+      in
+      (* mutant: pushes conditions into the nullable side too, the
+         classic outer-join pushdown bug *)
+      let to_right, residual =
+        if Rewrite_trace.mutant "opt-leftjoin-push-right" then
+          List.partition
+            (movable_to f.db (SS.of_list (Scope.out_names f.db a)))
+            residual
+        else ([], residual)
+      in
+      (* Emit the pure motion step (sides untouched) before
+         recursing — the sides' rewrites are their own entries. *)
+      let wrap cs p = if cs = [] then p else Select (conj cs, p) in
+      Rewrite_trace.emit ~rule:"pushdown-into-leftjoin" ~path:here ~before
+        ~after:(wrap residual (LeftJoin (c, wrap to_left a, wrap to_right b)));
+      let a' = optimize_with f (qchild "[left]") to_left a in
+      let b' = optimize_with f (qchild "[right]") to_right b in
+      wrap residual (LeftJoin (c, a', b'))
+  | Project p ->
+      (* Push conjuncts whose references all map to rename-only columns
+         through the projection (filtering before or after a pure
+         rename/dedup is equivalent). Sublink conjuncts stay above: the
+         substitution cannot see into sublink scopes. *)
+      let rename_map =
+        List.filter_map
+          (fun (e, n) -> match e with Attr src -> Some (n, src) | _ -> None)
+          p.cols
+      in
+      let pushable, rest =
+        List.partition
+          (fun c ->
+            (not (has_sublink c))
+            && ((* mutant: pushes through computed columns as if they
+                   were renames *)
+                Rewrite_trace.mutant "opt-push-nonrename"
+               || List.for_all
+                    (fun n -> List.mem_assoc n rename_map)
+                    (Scope.refs_of_expr f.db c)))
+          conds
+      in
+      let renamed = List.map (rename_attrs rename_map) pushable in
+      let inner = optimize_with f (qchild "") renamed p.proj_input in
+      let sub = opt_sublinks f (qprefix @ [ Guard.op_label q ]) in
+      let cols = List.map (fun (e, n) -> (sub e, n)) p.cols in
+      let projected = Project { p with cols; proj_input = inner } in
+      let after =
+        emit "pushdown-through-project"
+          (if rest = [] then projected else Select (conj rest, projected))
+      in
+      (* the pushed conjuncts may have left two projections adjacent *)
+      if rest = [] then merge_projects qprefix after
+      else Select (conj rest, merge_projects here projected)
+  | _ ->
+      let q' = optimize_children f qprefix q in
+      if conds = [] then q' else emit "pushdown-residual" (Select (conj conds, q'))
 
-and distribute db ~left ~right ~motion conds a b ~mk =
-  let a_names = Scope.out_names db a and b_names = Scope.out_names db b in
-  let to_a, rest = List.partition (fun e -> movable_to db b_names e) conds in
+and distribute f ~left ~right ~motion conds a b ~mk =
+  let a_names = SS.of_list (Scope.out_names f.db a)
+  and b_names = SS.of_list (Scope.out_names f.db b) in
+  let to_a, rest = List.partition (movable_to f.db b_names) conds in
   (* mutant: loses the first conjunct headed for the left side *)
   let to_a =
     if Rewrite_trace.mutant "opt-drop-conjunct" then
       match to_a with _ :: t -> t | [] -> []
     else to_a
   in
-  let to_b, residual = List.partition (fun e -> movable_to db a_names e) rest in
+  let to_b, residual = List.partition (movable_to f.db a_names) rest in
   (* mutant: forgets the residual join condition *)
   let residual =
     if Rewrite_trace.mutant "opt-residual-drop" then [] else residual
@@ -456,21 +519,13 @@ and distribute db ~left ~right ~motion conds a b ~mk =
      sides' own rewrites below are emitted as their own entries. *)
   let wrap cs q = if cs = [] then q else Select (conj cs, q) in
   motion (mk residual (wrap to_a a) (wrap to_b b));
-  let a' = push_select db left to_a (optimize db left a) in
-  let b' = push_select db right to_b (optimize db right b) in
+  let a' = optimize_with f left to_a a in
+  let b' = optimize_with f right to_b b in
   mk residual a' b'
 
-and optimize_children db prefix q =
-  let here = prefix @ [ Guard.op_label q ] in
-  let child qual i = optimize db (prefix @ [ Guard.op_label q ^ qual ]) i in
-  let counter = ref 0 in
-  let sub e =
-    map_expr_query
-      (fun sq ->
-        incr counter;
-        optimize db (here @ [ sublink_seg !counter ]) sq)
-      e
-  in
+and optimize_children f prefix q =
+  let child qual i = optimize_with f (prefix @ [ Guard.op_label q ^ qual ]) [] i in
+  let sub = opt_sublinks f (prefix @ [ Guard.op_label q ]) in
   match q with
   | Base _ | TableExpr _ -> q
   | Select (c, i) ->
@@ -478,7 +533,8 @@ and optimize_children db prefix q =
       Select (c, child "" i)
   | Project p ->
       let cols = List.map (fun (e, n) -> (sub e, n)) p.cols in
-      Project { p with cols; proj_input = child "" p.proj_input }
+      (* the input's pushdown may have surfaced a projection *)
+      merge_projects prefix (Project { p with cols; proj_input = child "" p.proj_input })
   | Cross (a, b) ->
       let a = child "[left]" a in
       Cross (a, child "[right]" b)
@@ -526,9 +582,13 @@ and merge_projects prefix q =
          || Rewrite_trace.mutant "opt-merge-distinct")
          && List.for_all (fun (e, _) -> match e with Attr _ -> true | _ -> false)
               outer_cols ->
+      let defs = Hashtbl.create (List.length inner.cols) in
+      List.iter
+        (fun (e, m) -> if not (Hashtbl.mem defs m) then Hashtbl.add defs m e)
+        inner.cols;
       let resolve = function
         | Attr n, out_name -> (
-            match List.assoc_opt n (List.map (fun (e, m) -> (m, e)) inner.cols) with
+            match Hashtbl.find_opt defs n with
             | Some e -> (e, out_name)
             | None -> (Attr n, out_name) (* correlated reference *))
         | other -> other
@@ -546,25 +606,6 @@ and merge_projects prefix q =
         ~before:q ~after;
       merge_projects prefix after
   | q -> q
-
-(** [optimize db prefix q] rewrites [q] into an equivalent, typically
-    faster plan. Sublink queries embedded in conditions are optimized
-    too. *)
-and optimize db (prefix : string list) (q : query) : query =
-  match merge_projects prefix q with
-  | Select (c, input) ->
-      let here = prefix @ [ Guard.op_label (Select (c, input)) ] in
-      let counter = ref 0 in
-      let c =
-        map_expr_query
-          (fun sq ->
-            incr counter;
-            optimize db (here @ [ sublink_seg !counter ]) sq)
-          c
-      in
-      push_select db prefix (conjuncts c) input
-  | (Cross _ | Join _ | LeftJoin _) as q -> push_select db prefix [] q
-  | q -> optimize_children db prefix q
 
 (** {1 Dead-column pruning}
 
@@ -597,8 +638,6 @@ and optimize db (prefix : string list) (q : query) : query =
     one. {!Certify} checks those with projected equivalence — the
     before side projected onto the surviving columns must equal the
     after side as a bag. *)
-
-module SS = Set.Make (String)
 
 let refs db e = SS.of_list (Scope.refs_of_expr db e)
 
@@ -802,7 +841,7 @@ let try_reorder db est (prefix : string list) (q : query) : query option =
         let arr =
           Array.of_list (List.map (fun l -> (l, Scope.out_names db l)) leaves)
         in
-        let cluster_names = List.concat_map snd (Array.to_list arr) in
+        let cluster = SS.of_list (List.concat_map snd (Array.to_list arr)) in
         let plain, linked = List.partition (fun e -> not (has_sublink e)) conds in
         (* mutant: the rebuilt cluster silently loses one conjunct *)
         let plain =
@@ -810,15 +849,11 @@ let try_reorder db est (prefix : string list) (q : query) : query option =
             match plain with _ :: t -> t | [] -> []
           else plain
         in
-        let refs = List.map (fun e -> (e, Scope.refs_of_expr db e)) plain in
         (* a conjunct is placeable once every reference that the cluster
            produces is available; references outside the cluster are
            correlated and never block *)
-        let placeable avail (_, rs) =
-          List.for_all
-            (fun r -> List.mem r avail || not (List.mem r cluster_names))
-            rs
-        in
+        let refs = List.map (fun e -> (e, SS.inter (refs db e) cluster)) plain in
+        let placeable avail (_, rs) = SS.subset rs avail in
         let n = Array.length arr in
         let used = Array.make n false in
         let best_free score =
@@ -838,33 +873,42 @@ let try_reorder db est (prefix : string list) (q : query) : query option =
         used.(start) <- true;
         let acc_plan = ref (fst arr.(start)) in
         let acc_names = ref (snd arr.(start)) in
+        let avail = ref (SS.of_list !acc_names) in
         let remaining = ref refs in
         (* conjuncts over the starting leaf alone (or fully correlated)
            wrap it immediately *)
-        let app, rest = List.partition (placeable !acc_names) !remaining in
+        let app, rest = List.partition (placeable !avail) !remaining in
         if app <> [] then acc_plan := Select (conj (List.map fst app), !acc_plan);
         remaining := rest;
         let candidate k =
           let leaf, lnames = arr.(k) in
-          let avail = !acc_names @ lnames in
+          let avail = SS.union !avail (SS.of_list lnames) in
           let app, rest = List.partition (placeable avail) !remaining in
           let plan =
             match app with
             | [] -> Cross (!acc_plan, leaf)
             | cs -> Join (conj (List.map fst cs), !acc_plan, leaf)
           in
-          (plan, rest, lnames)
+          (plan, rest, (lnames, avail))
         in
         for _ = 2 to n do
+          (* every free leaf's candidate is built once per step, and the
+             chosen one is kept as the next prefix: the next step's
+             estimates then reuse its memoized fact *)
+          let cands =
+            Array.init n (fun k -> if used.(k) then None else Some (candidate k))
+          in
           let bi =
             best_free (fun k ->
-                let plan, _, _ = candidate k in
-                Estimate.rows est plan)
+                match cands.(k) with
+                | Some (plan, _, _) -> Estimate.rows est plan
+                | None -> infinity)
           in
-          let plan, rest, lnames = candidate bi in
+          let plan, rest, (lnames, av) = Option.get cands.(bi) in
           used.(bi) <- true;
           acc_plan := plan;
           acc_names := !acc_names @ lnames;
+          avail := av;
           remaining := rest
         done;
         let tree =
@@ -964,8 +1008,9 @@ and reorder_spine db est prefix q =
    usual traced, certified rule applications) — and finally drop the
    columns nothing above reads. *)
 let optimize ?(prune = true) ?(reorder = true) db q =
+  let f = facts db in
   let q = Simplify.query q in
   let q = if reorder then reorder_query db (Estimate.create db) [] q else q in
-  let q' = optimize db [] q in
+  let q' = optimize_with f [] [] q in
   let q' = Simplify.query q' in
   if prune then prune_query db [] (all_out db q') q' else q'

@@ -24,100 +24,100 @@ let rec out_names db (q : query) : string list =
       List.map snd group_by @ List.map (fun c -> c.agg_name) aggs
   | Union (_, a, _) | Inter (_, a, _) | Diff (_, a, _) -> out_names db a
 
-(* [local] is the stack of name lists bound inside the region being
-   analyzed; a reference not found in any of them escapes the region. *)
+(* Free names are computed bottom-up, once per node. A node's
+   scope-free names are the references inside it that no scope created
+   inside it binds; under enclosing scopes [L] its free names are
+   exactly its scope-free names minus the names of [L]. So a sublink
+   contributes its query's scope-free names minus the scope of the
+   operator it sits in, and each expression is checked against one
+   scope — its operator's input names — instead of a stack of them.
+   Output names are lazy: only operators with expressions need their
+   input's names, so a missing base relation raises only where a scope
+   has to be built from it. *)
 
-let defined_in local name = List.exists (List.mem name) local
+type node = { out : string list Lazy.t; free : S.t }
 
-let rec free_expr db (local : string list list) (e : expr) (acc : S.t) : S.t =
+let in_scope scope name = List.exists (String.equal name) scope
+
+(* [expr_free db scope e acc] adds to [acc] the names [e] references
+   outside [scope]. *)
+let rec expr_free db (scope : string list) (e : expr) (acc : S.t) : S.t =
+  let go e acc = expr_free db scope e acc in
   match e with
   | Const _ | TypedNull _ -> acc
-  | Attr name -> if defined_in local name then acc else S.add name acc
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-      free_expr db local b (free_expr db local a acc)
-  | Not a | IsNull a | Like (a, _) -> free_expr db local a acc
+  | Attr name -> if in_scope scope name then acc else S.add name acc
+  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) -> go b (go a acc)
+  | Not a | IsNull a | Like (a, _) -> go a acc
   | Case (whens, els) ->
-      let acc =
-        List.fold_left
-          (fun acc (c, x) -> free_expr db local x (free_expr db local c acc))
-          acc whens
-      in
-      Option.fold ~none:acc ~some:(fun e -> free_expr db local e acc) els
-  | InList (a, es) ->
-      List.fold_left (fun acc e -> free_expr db local e acc) (free_expr db local a acc) es
-  | FunCall (_, es) ->
-      List.fold_left (fun acc e -> free_expr db local e acc) acc es
+      let acc = List.fold_left (fun acc (c, x) -> go x (go c acc)) acc whens in
+      Option.fold ~none:acc ~some:(fun e -> go e acc) els
+  | InList (a, es) -> List.fold_left (fun acc e -> go e acc) (go a acc) es
+  | FunCall (_, es) -> List.fold_left (fun acc e -> go e acc) acc es
   | Sublink s ->
       let acc =
         match s.kind with
         | Exists | Scalar -> acc
-        | AnyOp (_, lhs) | AllOp (_, lhs) -> free_expr db local lhs acc
+        | AnyOp (_, lhs) | AllOp (_, lhs) -> go lhs acc
       in
-      free_query_acc db local s.query acc
+      S.fold
+        (fun n acc -> if in_scope scope n then acc else S.add n acc)
+        (facts db s.query).free acc
 
-and free_query_acc db (local : string list list) (q : query) (acc : S.t) : S.t =
-  let with_input input f acc =
-    let scope = out_names db input :: local in
-    f scope acc
+and facts db (q : query) : node =
+  let over (i : node) exprs =
+    let scope = Lazy.force i.out in
+    List.fold_left (fun acc e -> expr_free db scope e acc) i.free exprs
   in
   match q with
-  | Base _ | TableExpr _ -> acc
+  | Base _ | TableExpr _ -> { out = lazy (out_names db q); free = S.empty }
   | Select (cond, input) ->
-      let acc = with_input input (fun scope acc -> free_expr db scope cond acc) acc in
-      free_query_acc db local input acc
+      let i = facts db input in
+      { out = i.out; free = over i [ cond ] }
   | Project { cols; proj_input; _ } ->
-      let acc =
-        with_input proj_input
-          (fun scope acc ->
-            List.fold_left (fun acc (e, _) -> free_expr db scope e acc) acc cols)
-          acc
-      in
-      free_query_acc db local proj_input acc
-  | Cross (a, b) -> free_query_acc db local b (free_query_acc db local a acc)
+      {
+        out = lazy (List.map snd cols);
+        free = over (facts db proj_input) (List.map fst cols);
+      }
+  | Cross (a, b) ->
+      let fa = facts db a and fb = facts db b in
+      {
+        out = lazy (Lazy.force fa.out @ Lazy.force fb.out);
+        free = S.union fa.free fb.free;
+      }
   | Join (cond, a, b) | LeftJoin (cond, a, b) ->
-      let scope = (out_names db a @ out_names db b) :: local in
-      let acc = free_expr db scope cond acc in
-      free_query_acc db local b (free_query_acc db local a acc)
+      let fa = facts db a and fb = facts db b in
+      let names = Lazy.force fa.out @ Lazy.force fb.out in
+      {
+        out = Lazy.from_val names;
+        free = expr_free db names cond (S.union fa.free fb.free);
+      }
   | Agg { group_by; aggs; agg_input } ->
-      let acc =
-        with_input agg_input
-          (fun scope acc ->
-            let acc =
-              List.fold_left (fun acc (e, _) -> free_expr db scope e acc) acc group_by
-            in
-            List.fold_left
-              (fun acc c ->
-                match c.agg_arg with
-                | Some e -> free_expr db scope e acc
-                | None -> acc)
-              acc aggs)
-          acc
-      in
-      free_query_acc db local agg_input acc
+      {
+        out = lazy (List.map snd group_by @ List.map (fun c -> c.agg_name) aggs);
+        free =
+          over (facts db agg_input)
+            (List.map fst group_by @ List.filter_map (fun c -> c.agg_arg) aggs);
+      }
   | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
-      free_query_acc db local b (free_query_acc db local a acc)
+      let fa = facts db a and fb = facts db b in
+      { out = fa.out; free = S.union fa.free fb.free }
   | Order (keys, input) ->
-      let acc =
-        with_input input
-          (fun scope acc ->
-            List.fold_left (fun acc (e, _) -> free_expr db scope e acc) acc keys)
-          acc
-      in
-      free_query_acc db local input acc
-  | Limit (_, input) -> free_query_acc db local input acc
+      let i = facts db input in
+      { out = i.out; free = over i (List.map fst keys) }
+  | Limit (_, input) -> facts db input
 
 (** Free attribute names of [q]: correlated references that must be
     bound by enclosing scopes. Sorted, duplicate-free. *)
-let free_of_query db q = S.elements (free_query_acc db [] q S.empty)
+let free_of_query db q = S.elements (facts db q).free
 
 (** Free attribute names of expression [e] under an operator whose input
     schema provides [input_names]. *)
 let free_of_expr db input_names e =
-  S.elements (free_expr db [ input_names ] e S.empty)
+  S.elements (expr_free db input_names e S.empty)
 
 (** Names referenced by [e] that are NOT bound by any scope — i.e. with
     no local scope at all. Used by the optimizer to decide pushdown. *)
-let refs_of_expr db e = S.elements (free_expr db [] e S.empty)
+let refs_of_expr db e = S.elements (expr_free db [] e S.empty)
 
 (** [is_uncorrelated db s] holds when sublink [s] has no correlated
     references — the applicability condition of the Left, Move and Unn

@@ -515,6 +515,7 @@ let handle_connection sv id fd =
   in
   Fun.protect
     ~finally:(fun () ->
+      Session.close session;
       (try Unix.close fd with _ -> ());
       locked sv (fun () ->
           sv.sv_ctr.n_sessions_closed <- sv.sv_ctr.n_sessions_closed + 1;

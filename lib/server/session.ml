@@ -138,6 +138,11 @@ let pin s =
 
 let db s = fst (pin s)
 
+(* A closed session's overlay is garbage: drop its statistics now, not
+   when the cache next overflows, or a run's peak memory grows with the
+   number of sessions it gets through. *)
+let close s = Stats.invalidate s.s_db
+
 (* Record a statement's DDL effect for replay across rebases. *)
 let note s = function
   | Perm.Rows _ -> ()

@@ -56,6 +56,10 @@ val pin : t -> Database.t * int
 (** [db s] = [fst (pin s)]. *)
 val db : t -> Database.t
 
+(** [close s] releases what the session's overlay holds outside the
+    session itself (its cached statistics). *)
+val close : t -> unit
+
 (** [note s res] records a statement's DDL effect (created view/table,
     drop) so a later rebase replays it onto the new snapshot.
     Materialized tables are replayed as values, not re-run. *)

@@ -578,6 +578,131 @@ let test_advisor_unn_gating () =
     (Advisor.estimates (db ()) q)
 
 (* ------------------------------------------------------------------ *)
+(* Scope: the bottom-up free-name analysis against the list-based one   *)
+(* ------------------------------------------------------------------ *)
+
+(* The previous free-name analysis, kept as the oracle: a stack of
+   name lists bound inside the region, output names recomputed at every
+   level. *)
+module Scope_oracle = struct
+  module S = Set.Make (String)
+
+  let defined_in local name = List.exists (List.mem name) local
+
+  let rec free_expr db local (e : expr) acc =
+    match e with
+    | Const _ | TypedNull _ -> acc
+    | Attr name -> if defined_in local name then acc else S.add name acc
+    | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
+        free_expr db local b (free_expr db local a acc)
+    | Not a | IsNull a | Like (a, _) -> free_expr db local a acc
+    | Case (whens, els) ->
+        let acc =
+          List.fold_left
+            (fun acc (c, x) -> free_expr db local x (free_expr db local c acc))
+            acc whens
+        in
+        Option.fold ~none:acc ~some:(fun e -> free_expr db local e acc) els
+    | InList (a, es) ->
+        List.fold_left (fun acc e -> free_expr db local e acc) (free_expr db local a acc) es
+    | FunCall (_, es) -> List.fold_left (fun acc e -> free_expr db local e acc) acc es
+    | Sublink s ->
+        let acc =
+          match s.kind with
+          | Exists | Scalar -> acc
+          | AnyOp (_, lhs) | AllOp (_, lhs) -> free_expr db local lhs acc
+        in
+        free_query db local s.query acc
+
+  and free_query db local (q : query) acc =
+    let under input es acc =
+      let scope = Scope.out_names db input :: local in
+      List.fold_left (fun acc e -> free_expr db scope e acc) acc es
+    in
+    match q with
+    | Base _ | TableExpr _ -> acc
+    | Select (c, input) -> free_query db local input (under input [ c ] acc)
+    | Project { cols; proj_input; _ } ->
+        free_query db local proj_input (under proj_input (List.map fst cols) acc)
+    | Cross (a, b) -> free_query db local b (free_query db local a acc)
+    | Join (c, a, b) | LeftJoin (c, a, b) ->
+        let scope = (Scope.out_names db a @ Scope.out_names db b) :: local in
+        free_query db local b (free_query db local a (free_expr db scope c acc))
+    | Agg { group_by; aggs; agg_input } ->
+        let es = List.map fst group_by @ List.filter_map (fun c -> c.agg_arg) aggs in
+        free_query db local agg_input (under agg_input es acc)
+    | Union (_, a, b) | Inter (_, a, b) | Diff (_, a, b) ->
+        free_query db local b (free_query db local a acc)
+    | Order (keys, input) ->
+        free_query db local input (under input (List.map fst keys) acc)
+    | Limit (_, input) -> free_query db local input acc
+
+  let free_of_query db q = S.elements (free_query db [] q S.empty)
+  let refs_of_expr db e = S.elements (free_expr db [] e S.empty)
+end
+
+(* Every subplan of [q], sublink queries included. *)
+let rec subplans q =
+  q
+  :: List.concat_map subplans
+       (Dataflow.inputs q
+       @ List.map (fun s -> s.query) (List.concat_map sublinks_of_expr (root_exprs q)))
+
+(* [free_of_query] and [refs_of_expr] agree with the oracle on every
+   subplan and operator expression of [q], before and after rewriting
+   with each applicable strategy. *)
+let scope_agrees db q =
+  let plans =
+    q
+    :: List.filter_map
+         (fun strategy ->
+           match Rewrite.rewrite db ~strategy q with
+           | q_plus, _ -> Some q_plus
+           | exception Strategy.Unsupported _ -> None)
+         Strategy.all
+  in
+  List.for_all
+    (fun p ->
+      List.for_all
+        (fun sq ->
+          Scope.free_of_query db sq = Scope_oracle.free_of_query db sq
+          && List.for_all
+               (fun e -> Scope.refs_of_expr db e = Scope_oracle.refs_of_expr db e)
+               (root_exprs sq))
+        (subplans p))
+    plans
+
+let prop_scope_qgen =
+  QCheck.Test.make ~name:"free names agree with the list-based oracle (Qgen)"
+    ~count:300
+    (QCheck.make QCheck.Gen.(0 -- 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let case = Fuzz.Qgen.case_of_seed seed in
+      let db = Fuzz.Qgen.database case in
+      let q =
+        (Sql_frontend.Analyzer.analyze_string db (Fuzz.Qgen.sql case))
+          .Sql_frontend.Analyzer.query
+      in
+      scope_agrees db q)
+
+let tpch_db = lazy (Tpch.Tpch_gen.generate ~seed:5 ~sf:0.01 ())
+
+let prop_scope_tpch =
+  QCheck.Test.make
+    ~name:"free names agree with the list-based oracle (TPC-H x strategy)"
+    ~count:10
+    (QCheck.make QCheck.Gen.(0 -- 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let db = Lazy.force tpch_db in
+      List.for_all
+        (fun n ->
+          let q = Tpch.Tpch_queries.instantiate ~seed n in
+          scope_agrees db
+            (Sql_frontend.Analyzer.analyze_string db q.Tpch.Tpch_queries.sql)
+              .Sql_frontend.Analyzer.query)
+        Tpch.Tpch_queries.numbers)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -606,6 +731,7 @@ let () =
           Alcotest.test_case "schema preserved" `Quick test_prune_keeps_schema;
         ] );
       qsuite "prune parity" [ prop_prune_random_plans; prop_prune_all_strategies ];
+      qsuite "scope" [ prop_scope_qgen; prop_scope_tpch ];
       ( "semantic lint",
         [
           Alcotest.test_case "NOT IN / <> ALL null trap" `Quick test_null_trap_not_in;

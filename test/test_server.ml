@@ -188,6 +188,16 @@ let test_table_ddl_replays_as_value () =
      whatever the new snapshot holds *)
   Alcotest.(check int) "materialized table replayed" 2 (card rebased "t")
 
+(* Statistics are cached per overlay; closing the session drops its
+   entry, so the next collection for that overlay is a fresh one. *)
+let test_close_drops_stats () =
+  let s = Session.create (Session.store (small_db ())) ~id:1 in
+  let db = Session.db s in
+  let stats = Stats.of_db db in
+  Alcotest.(check bool) "cached while open" true (Stats.of_db db == stats);
+  Session.close s;
+  Alcotest.(check bool) "dropped on close" false (Stats.of_db db == stats)
+
 (* ------------------------------------------------------------------ *)
 (* Live server: admission control and drain                            *)
 (* ------------------------------------------------------------------ *)
@@ -382,6 +392,8 @@ let () =
           Alcotest.test_case "epoch pin across swap" `Quick test_epoch_pin;
           Alcotest.test_case "table DDL replays as value" `Quick
             test_table_ddl_replays_as_value;
+          Alcotest.test_case "close drops statistics" `Quick
+            test_close_drops_stats;
         ] );
       ( "server",
         [

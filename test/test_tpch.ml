@@ -355,6 +355,48 @@ let test_golden_plans () =
     Alcotest.failf "optimized plans differ from golden/: %s"
       (String.concat ", " moved)
 
+(* ------------------------------------------------------------------ *)
+(* Optimizer work growth                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A comma join of [k + 1] copies of [nation] with one join equality
+   and one range predicate per level: every level of the left-deep
+   product is a pushdown site. Doubling the depth may multiply the
+   optimizer's allocation (deterministic, unlike its time) by a small
+   factor, never by the exponential blow-up of re-optimizing every
+   pushed-into subtree. *)
+let nation_chain_sql k =
+  let froms = List.init (k + 1) (Printf.sprintf "nation n%d") in
+  let conds =
+    List.concat
+      (List.init k (fun i ->
+           [
+             Printf.sprintf "n%d.n_regionkey = n%d.n_regionkey" i (i + 1);
+             Printf.sprintf "n%d.n_nationkey > %d" (i + 1) i;
+           ]))
+  in
+  Printf.sprintf "SELECT n0.n_name FROM %s WHERE %s"
+    (String.concat ", " froms)
+    (String.concat " AND " conds)
+
+let optimizer_words d k =
+  let q =
+    (Sql_frontend.Analyzer.analyze_string d (nation_chain_sql k))
+      .Sql_frontend.Analyzer.query
+  in
+  (* the first run also fills the statistics cache *)
+  ignore (Optimizer.optimize d q);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Optimizer.optimize d q));
+  Gc.minor_words () -. w0
+
+let test_optimizer_work_growth () =
+  let d = Lazy.force tiny_db in
+  let w6 = optimizer_words d 6 and w12 = optimizer_words d 12 in
+  if w12 /. w6 > 4.0 then
+    Alcotest.failf "optimizer words grew %.1fx from k=6 (%.0f) to k=12 (%.0f)"
+      (w12 /. w6) w6 w12
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "tpch"
@@ -388,5 +430,9 @@ let () =
           tc "uncorrelated strategies agree" `Slow test_uncorrelated_strategies_agree;
           tc "correlated rejected by Left" `Quick test_correlated_strategies_rejected;
         ] );
-      ("golden", [ tc "optimized plans and estimates" `Quick test_golden_plans ]);
+      ( "optimizer",
+        [
+          tc "golden plans and estimates" `Quick test_golden_plans;
+          tc "work growth" `Quick test_optimizer_work_growth;
+        ] );
     ]
